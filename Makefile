@@ -5,8 +5,8 @@ PYTHON ?= python
 .PHONY: install test test-parallel bench bench-cache bench-transversal \
 	bench-columnar bench-ingest bench-serve bench-parallel bench-regress \
 	cache-smoke trace-smoke transversal-smoke faults-smoke \
-	telemetry-smoke serve-smoke experiments experiments-paper examples \
-	clean
+	telemetry-smoke serve-smoke plan-smoke experiments experiments-paper \
+	examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -117,6 +117,13 @@ cache-smoke:
 serve-smoke:
 	$(PYTHON) scripts/check_serve.py
 	$(PYTHON) scripts/check_serve.py --backend columnar
+
+# The columnar agree-set plans: the 5 x 16000 large-class shape must
+# run Plan 2 (sample-and-repair) in < 5 s under 150 MiB ru_maxrss with
+# the cover of the NumPy-free sampling reference, and the 30 x 16000
+# section 5.2 shape must stay on Plan 1 (full couples).
+plan-smoke:
+	$(PYTHON) scripts/check_plan.py
 
 # The noise-aware perf-regression gate: re-runs the obs / cache /
 # transversal / columnar / ingest / serve bench suites against the

@@ -77,7 +77,7 @@ def unpack_partitions(payload: Dict[str, Any]) -> StrippedPartitionDatabase:
 
 def pack_agree(agree: Set[int], stats: Dict[str, int]) -> Dict[str, Any]:
     """``ag(r)`` plus the enumeration counters it was computed with."""
-    return {"agree": set(agree), "stats": _int_stats(stats)}
+    return {"agree": set(agree), "stats": _plain_stats(stats)}
 
 
 def unpack_agree(payload: Dict[str, Any]) -> Tuple[Set[int], Dict[str, int]]:
@@ -100,7 +100,7 @@ def pack_cover(agree: Set[int],
         "cmax": {attr: list(masks) for attr, masks in cmax_sets.items()},
         "lhs": {attr: list(masks) for attr, masks in lhs_sets.items()},
         "fds": [(fd.lhs.mask, fd.rhs_index) for fd in fds],
-        "stats": _int_stats(stats),
+        "stats": _plain_stats(stats),
     }
 
 
@@ -128,6 +128,8 @@ def unpack_cover(payload: Dict[str, Any], schema: Schema):
         raise CacheCodecError(f"invalid cover payload: {error}") from error
 
 
-def _int_stats(stats: Dict[str, int]) -> Dict[str, int]:
+def _plain_stats(stats: Dict[str, Any]) -> Dict[str, Any]:
+    """The integer counters plus the string facts (such as the plan
+    reason) of a run's stats."""
     return {name: value for name, value in stats.items()
-            if isinstance(value, int)}
+            if isinstance(value, (int, str))}

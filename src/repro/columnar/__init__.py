@@ -14,6 +14,9 @@ the same Dep-Miner stages column-at-a-time on integer-coded arrays:
 - :mod:`repro.columnar.cmax` — ``max``/``cmax`` derivation on
   lane-packed ``uint64`` bitmasks, feeding the lane-packed transversal
   kernel of :mod:`repro.hypergraph.kernel`;
+- :mod:`repro.columnar.plans` — the couple preflight's plan choice and
+  Plan 2, the exact sample-and-repair escape from the quadratic couple
+  wall (vectorized FD verification on the code matrix);
 - :mod:`repro.columnar.pipeline` — the end-to-end run behind
   ``DepMiner(backend="columnar")`` (cache- and executor-aware);
 - :mod:`repro.columnar.ingest` — chunked streaming CSV → code matrix
@@ -47,7 +50,7 @@ __all__ = [
     "grouped_runs",
     "class_ids",
     "class_matrix",
-    "num_stripped_classes",
+    "couple_preflight",
     "to_stripped_partition",
     "candidate_couples",
     "resolve_couples",
@@ -95,7 +98,7 @@ _LAZY = {
     "grouped_runs": "repro.columnar.grouping",
     "class_ids": "repro.columnar.grouping",
     "class_matrix": "repro.columnar.grouping",
-    "num_stripped_classes": "repro.columnar.grouping",
+    "couple_preflight": "repro.columnar.grouping",
     "to_stripped_partition": "repro.columnar.grouping",
     "candidate_couples": "repro.columnar.agree",
     "resolve_couples": "repro.columnar.agree",

@@ -10,6 +10,10 @@ are derived from the runs:
   (``-1`` for stripped rows), i.e. one row of the paper's ``ec(t)``
   table; :func:`class_matrix` stacks them into the full
   tuples×attributes identifier matrix the agree-set stage intersects;
+- :func:`couple_preflight` — per-attribute class sizes from one
+  ``np.bincount`` per row of the class-id matrix, and from them the
+  exact couple count the agree-set stage would enumerate (the input of
+  the plan choice in :mod:`repro.columnar.plans`);
 - :func:`to_stripped_partition` — the classic
   :class:`~repro.partitions.partition.StrippedPartition` object, used
   by the property tests to hold the grouping equal to
@@ -22,6 +26,7 @@ couple enumeration in :mod:`repro.columnar.agree` relies on (it emits
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -32,7 +37,8 @@ __all__ = [
     "grouped_runs",
     "class_ids",
     "class_matrix",
-    "num_stripped_classes",
+    "Preflight",
+    "couple_preflight",
     "to_stripped_partition",
 ]
 
@@ -91,14 +97,34 @@ def class_matrix(codes: np.ndarray) -> np.ndarray:
     return np.vstack([class_ids(codes[a]) for a in range(width)])
 
 
-def num_stripped_classes(ec: np.ndarray) -> int:
-    """Total ``|π̂A|`` over all attributes of a class-id matrix."""
-    total = 0
-    for attribute in range(ec.shape[0]):
-        ids = ec[attribute]
-        ids = ids[ids >= 0]
-        total += int(np.unique(ids).shape[0]) if ids.shape[0] else 0
-    return total
+@dataclass(frozen=True)
+class Preflight:
+    """What the agree-set stage will cost, read off the class sizes.
+
+    ``couples`` is ``Σ_A Σ_c |c|(|c|−1)/2`` over every stripped class —
+    the couples the enumeration visits before cross-attribute
+    de-duplication; ``largest_class`` is the size of the largest class
+    and ``stripped_classes`` the total ``|π̂A|``.
+    """
+
+    couples: int
+    largest_class: int
+    stripped_classes: int
+
+
+def couple_preflight(ec: np.ndarray) -> Preflight:
+    """The :class:`Preflight` of a class-id matrix, by one
+    ``np.bincount`` per attribute (class ids are dense per attribute,
+    ``-1`` counted in the dropped first bin)."""
+    couples = largest = stripped = 0
+    for ids in ec:
+        sizes = np.bincount(ids + 1)[1:]
+        if not sizes.shape[0]:
+            continue
+        couples += int((sizes * (sizes - 1)).sum()) // 2
+        largest = max(largest, int(sizes.max()))
+        stripped += int(np.count_nonzero(sizes))
+    return Preflight(couples, largest, stripped)
 
 
 def to_stripped_partition(codes: np.ndarray) -> StrippedPartition:

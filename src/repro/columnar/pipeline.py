@@ -9,11 +9,18 @@ by the array primitives of this package:
 - ``strip`` — :func:`~repro.columnar.encode.encode_relation` (child
   span ``columnar.encode``) + :func:`~repro.columnar.grouping.class_matrix`
   (``columnar.group``);
-- ``agree_sets`` — :func:`~repro.columnar.agree.candidate_couples`
-  (``columnar.couples``) + :func:`~repro.columnar.agree.resolve_couples`
-  (``columnar.resolve``); with ``jobs > 1`` the couple arrays are
-  sliced into ranges and resolved by the sharded executor
-  (:func:`repro.parallel.shards.parallel_columnar_couples`);
+- ``agree_sets`` — the plan chosen from the couple preflight that
+  ends ``strip`` (:mod:`repro.columnar.plans`; the choice, the
+  predicted couples and the largest class are span attributes and
+  ``result.stats`` entries).  Plan 1 is
+  :func:`~repro.columnar.agree.candidate_couples` (``columnar.couples``)
+  + :func:`~repro.columnar.agree.resolve_couples` (``columnar.resolve``);
+  with ``jobs > 1`` the couple arrays are sliced into ranges and
+  resolved by the sharded executor
+  (:func:`repro.parallel.shards.parallel_columnar_couples`).  Plan 2 is
+  :func:`~repro.columnar.plans.sample_and_repair` (``columnar.sample``
+  and ``columnar.verify``), which yields ``ag(s) ⊆ ag(r)`` for a sample
+  ``s`` with the same maximal sets;
 - ``cmax`` — :func:`~repro.columnar.cmax.maximal_sets_packed` on the
   lane-packed masks (serial path; the ``jobs > 1`` path reuses the
   fused per-RHS ``parallel_cmax_lhs`` tail of the Python backend);
@@ -27,7 +34,8 @@ Caching mirrors ``DepMiner._run_cached``: cover bundle first, then
 and cover stage keys (see :class:`repro.cache.fingerprint.PipelineKeys`)
 so columnar artefacts are never confused with Python-path ones.  The
 stripped-partition tier is skipped — the columnar run never
-materialises partition objects.
+materialises partition objects — and a Plan 2 run writes only the
+cover tier, since its agree sets are not ``ag(r)``.
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ from repro.columnar import require_numpy
 from repro.columnar.agree import candidate_couples, resolve_couples
 from repro.columnar.cmax import maximal_sets_packed
 from repro.columnar.encode import encode_relation
-from repro.columnar.grouping import class_matrix, num_stripped_classes
+from repro.columnar.grouping import class_matrix, couple_preflight
+from repro.columnar.plans import choose_plan, sample_and_repair
 from repro.core.lhs import fd_output, left_hand_sides
 from repro.core.relation import Relation
 from repro.obs import MetricsRegistry, Tracer, get_logger
@@ -143,40 +152,57 @@ def run_columnar(miner, relation, tracer: Tracer,
                 )
         with tracer.span("columnar.group"):
             ec = class_matrix(codes)
-        stripped = num_stripped_classes(ec)
-        metrics.gauge("partition.stripped_classes", stripped)
+        preflight = couple_preflight(ec)
+        metrics.gauge("partition.stripped_classes",
+                      preflight.stripped_classes)
     logger.debug(
         "columnar strip: %d attributes over %d rows into %d classes "
-        "(%.3fs)", len(schema), num_rows, stripped, strip_span.duration,
+        "(%.3fs)", len(schema), num_rows, preflight.stripped_classes,
+        strip_span.duration,
     )
 
+    plan, reason = choose_plan(preflight, num_rows, len(schema))
+    plan_facts = {"plan": plan, "preflight_couples": preflight.couples,
+                  "largest_class": preflight.largest_class}
+    stats.update(plan_facts, plan_reason=reason)
+    metrics.gauge("agree.preflight_couples", preflight.couples)
     executor = miner._make_executor(tracer, metrics)
     with tracer.span("agree_sets", phase=True, algorithm="columnar",
-                     jobs=miner.jobs) as agree_span:
-        with tracer.span("columnar.couples"):
-            left, right = candidate_couples(ec)
-        visited = int(left.shape[0])
-        stats["num_couples"] = visited
-        with tracer.span("columnar.resolve"):
-            if executor is not None:
-                from repro.parallel.shards import parallel_columnar_couples
+                     jobs=miner.jobs, plan_reason=reason,
+                     **plan_facts) as agree_span:
+        if plan == 2:
+            agree, plan_stats = sample_and_repair(
+                codes, schema, resolved_transversal_method(miner), tracer,
+                metrics,
+            )
+            stats.update(plan_stats)
+        else:
+            with tracer.span("columnar.couples"):
+                left, right = candidate_couples(ec)
+            visited = int(left.shape[0])
+            stats["num_couples"] = visited
+            with tracer.span("columnar.resolve"):
+                if executor is not None:
+                    from repro.parallel.shards import (
+                        parallel_columnar_couples,
+                    )
 
-                agree = parallel_columnar_couples(
-                    ec, left, right, executor, stats=stats
-                )
-            else:
-                metrics.inc("agree.couples_enumerated", visited)
-                agree = resolve_couples(ec, left, right)
-        if visited < num_rows * (num_rows - 1) // 2:
-            agree.add(0)
+                    agree = parallel_columnar_couples(
+                        ec, left, right, executor, stats=stats
+                    )
+                else:
+                    metrics.inc("agree.couples_enumerated", visited)
+                    agree = resolve_couples(ec, left, right)
+            if visited < num_rows * (num_rows - 1) // 2:
+                agree.add(0)
         stats["num_agree_sets"] = len(agree)
         metrics.gauge("agree.sets", len(agree))
     logger.debug(
-        "columnar agree sets: %d from %d couples (%.3fs)",
-        len(agree), visited, agree_span.duration,
+        "columnar agree sets (plan %d: %s): %d from %d couples (%.3fs)",
+        plan, reason, len(agree), stats["num_couples"], agree_span.duration,
     )
 
-    if store is not None:
+    if store is not None and plan == 1:
         from repro.cache.artifacts import pack_agree
 
         store.put(

@@ -72,7 +72,17 @@ logger = get_logger(__name__)
 
 @dataclass
 class DepMinerResult:
-    """Everything Dep-Miner produces for one input relation."""
+    """Everything Dep-Miner produces for one input relation.
+
+    ``agree_sets`` is exactly ``ag(r)`` — except after the columnar
+    backend's Plan 2 (``stats["plan"] == 2``, see ``docs/columnar.md``),
+    which mines a sample ``s`` with ``dep(s) = dep(r)``: there it holds
+    ``ag(s) ⊆ ag(r)``, whose maximal sets avoiding each attribute equal
+    those of ``ag(r)``, so ``max_sets`` and everything derived from them
+    are those of ``r``.  Columnar runs also record the couple preflight
+    in ``stats``: ``preflight_couples``, ``largest_class``, ``plan`` and
+    ``plan_reason``.
+    """
 
     schema: Schema
     num_rows: int

@@ -1,4 +1,4 @@
-"""Guided-sampling FD discovery for very large relations.
+"""Guided-sampling FD discovery: mine a sample, repair it, repeat.
 
 The paper designs Dep-Miner "under the assumption of limited main memory
 resources"; the classical complementary technique (Kivinen & Mannila's
@@ -6,35 +6,115 @@ sampling bounds, the self-tuning loop of [MR94a]) is to mine a *sample*
 and repair it with counterexamples:
 
 1. mine the minimal FDs of a small random sample ``s ⊆ r``;
-2. verify each mined FD against the full relation with one hash scan;
+2. verify each mined FD against the full relation (one group-by per
+   distinct lhs covers every rhs sharing it);
 3. for every FD that fails, add the witnessing tuple pair to the sample
    and repeat.
 
-Because ``s ⊆ r`` implies ``dep(r) ⊆ dep(s)``, the loop converges to a
-sample whose minimal FDs all hold in ``r`` — and at that point they are
-exactly a cover of ``dep(r)`` (any FD of ``r`` is in ``dep(s)``, hence
-implied by the sample's minimal cover, all of which holds in ``r``).
-The result is therefore *exact*, not approximate; sampling only buys
-speed, since the expensive pair enumeration runs on the sample.
+The loop always converges and its answer is *exact*, not approximate;
+the argument is in ``docs/columnar.md`` ("Plans").  :func:`repair_loop`
+is that loop, independent of how a sample is mined or an FD verified.
+Two callers drive it:
+
+- :func:`discover_with_sampling` — the NumPy-free reference: each round
+  runs a full :class:`DepMiner` on ``relation.take(sample)`` and
+  verifies with a pure-Python hash scan;
+- Plan 2 of the columnar backend (:mod:`repro.columnar.plans`), which
+  mines column slices of the code matrix and verifies with one
+  vectorized group-by per lhs.
 
 The final sample is itself an interesting by-product: like a real-world
 Armstrong relation it is small, uses only values of ``r``, and satisfies
-exactly ``dep(r)``'s consequences among the mined lhs families (it is a
-"witness sample" rather than a full Armstrong relation).
+exactly ``dep(r)`` (it is a "witness sample" rather than a minimal
+Armstrong relation).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.depminer import DepMiner
 from repro.core.relation import Relation
 from repro.errors import ReproError
 from repro.fd.fd import FD, sort_fds
 
-__all__ = ["SamplingResult", "discover_with_sampling"]
+__all__ = [
+    "RepairOutcome",
+    "SamplingResult",
+    "discover_with_sampling",
+    "repair_loop",
+]
+
+#: ``mine(sample_rows) -> ({lhs_mask: rhs_mask}, payload)`` — the
+#: sample's minimal FDs grouped by lhs, plus whatever the caller keeps.
+MineSample = Callable[[List[int]], Tuple[Dict[int, int], Any]]
+#: ``verify(lhs_mask, rhs_mask) -> {rhs_attribute: (row, row)}`` — one
+#: witness pair per rhs attribute the lhs does not determine in ``r``.
+VerifyLhs = Callable[[int, int], Dict[int, Tuple[int, int]]]
+
+
+@dataclass
+class RepairOutcome:
+    """Where :func:`repair_loop` converged."""
+
+    rows: List[int]
+    mined: Any
+    rounds: int
+    verifications: int
+
+
+def repair_loop(num_rows: int, mine: MineSample, verify: VerifyLhs,
+                sample_size: int = 256, seed: int = 0,
+                max_rounds: Optional[int] = None) -> RepairOutcome:
+    """Sample, mine, verify and repair until every sampled FD holds.
+
+    Starts from ``sample_size`` rows drawn with ``random.Random(seed)``
+    (all rows when the relation is that small).  Every round mines the
+    current sample, verifies each distinct lhs against ``r`` and adds
+    the witness rows of every violated FD; it stops when a round adds no
+    row.  An FD found to hold is never verified again (``r`` does not
+    change).  *max_rounds* optionally bounds the loop with a
+    :class:`ReproError`; without it the loop always ends, because each
+    round that does not stop adds at least one row.
+    """
+    if sample_size < 1:
+        raise ReproError("sample_size must be positive")
+    if num_rows <= sample_size:
+        rows = list(range(num_rows))
+    else:
+        rows = sorted(random.Random(seed).sample(range(num_rows),
+                                                 sample_size))
+    in_sample = set(rows)
+    held: Dict[int, int] = {}
+    rounds = 0
+    verifications = 0
+    while True:
+        rounds += 1
+        if max_rounds is not None and rounds > max_rounds:
+            raise ReproError(
+                f"sampling did not converge within {max_rounds} rounds"
+            )
+        by_lhs, mined = mine(rows)
+        new_rows = []
+        for lhs_mask, rhs_mask in by_lhs.items():
+            pending = rhs_mask & ~held.get(lhs_mask, 0)
+            if not pending:
+                continue
+            verifications += 1
+            witnesses = verify(lhs_mask, pending)
+            violated = 0
+            for attribute, pair in witnesses.items():
+                violated |= 1 << attribute
+                for row in pair:
+                    if row not in in_sample:
+                        in_sample.add(row)
+                        new_rows.append(row)
+            held[lhs_mask] = held.get(lhs_mask, 0) | (pending & ~violated)
+        if not new_rows:
+            return RepairOutcome(rows, mined, rounds, verifications)
+        rows = sorted(in_sample)
 
 
 @dataclass
@@ -57,68 +137,42 @@ def discover_with_sampling(relation: Relation, sample_size: int = 256,
     """Discover the exact minimal FDs of *relation* via guided sampling.
 
     *sample_size* is the size of the initial random sample (clamped to
-    the relation); *max_rounds* optionally bounds the repair loop (it
-    raises :class:`ReproError` when exceeded — with the default ``None``
-    the loop always converges, adding at least one counterexample pair
-    per round).  Extra keyword options go to the inner :class:`DepMiner`.
+    the relation); *max_rounds* optionally bounds the repair loop (see
+    :func:`repair_loop`).  Extra keyword options go to the inner
+    :class:`DepMiner`.  Needs no NumPy.
 
     >>> # doctest-style sketch:
     >>> # result = discover_with_sampling(big_relation, sample_size=512)
     >>> # result.fds == discover_fds(big_relation)
     """
-    if sample_size < 1:
-        raise ReproError("sample_size must be positive")
     miner_options.setdefault("build_armstrong", "none")
     miner = DepMiner(**miner_options)
-    num_rows = len(relation)
-    rng = random.Random(seed)
-    if num_rows <= sample_size:
-        chosen = list(range(num_rows))
-    else:
-        chosen = sorted(rng.sample(range(num_rows), sample_size))
-    in_sample = set(chosen)
 
-    schema = relation.schema
-    rounds = 0
-    verifications = 0
-    while True:
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            raise ReproError(
-                f"sampling did not converge within {max_rounds} rounds"
-            )
-        sample = relation.take(chosen)
-        candidate_fds = miner.run(sample).fds
-        # Verify per *distinct lhs*: one hash scan checks every FD that
-        # shares the determinant, which is what keeps verification cheap
-        # relative to mining the full relation.
-        by_lhs: dict = {}
-        for fd in candidate_fds:
-            by_lhs.setdefault(fd.lhs.mask, 0)
-            by_lhs[fd.lhs.mask] |= fd.rhs_mask
-        new_rows = []
-        for lhs_mask, rhs_mask in by_lhs.items():
-            verifications += 1
-            violations = _find_violations_grouped(
-                relation, lhs_mask, rhs_mask
-            )
-            for row_pair in violations:
-                for row in row_pair:
-                    if row not in in_sample:
-                        in_sample.add(row)
-                        new_rows.append(row)
-        if not new_rows:
-            return SamplingResult(
-                fds=sort_fds(candidate_fds),
-                sample=sample,
-                rounds=rounds,
-                verifications=verifications,
-            )
-        chosen = sorted(in_sample)
+    def mine(rows: List[int]):
+        sample = relation.take(rows)
+        fds = miner.run(sample).fds
+        by_lhs: Dict[int, int] = {}
+        for fd in fds:
+            by_lhs[fd.lhs.mask] = by_lhs.get(fd.lhs.mask, 0) | fd.rhs_mask
+        return by_lhs, (sample, fds)
+
+    def verify(lhs_mask: int, rhs_mask: int):
+        return _find_violations_grouped(relation, lhs_mask, rhs_mask)
+
+    outcome = repair_loop(len(relation), mine, verify,
+                          sample_size=sample_size, seed=seed,
+                          max_rounds=max_rounds)
+    sample, fds = outcome.mined
+    return SamplingResult(
+        fds=sort_fds(fds),
+        sample=sample,
+        rounds=outcome.rounds,
+        verifications=outcome.verifications,
+    )
 
 
 def _find_violations_grouped(relation: Relation, lhs_mask: int,
-                             rhs_mask: int) -> List[tuple]:
+                             rhs_mask: int) -> Dict[int, Tuple[int, int]]:
     """One witness pair per violated rhs attribute, in a single scan.
 
     Checks every FD ``lhs → A`` for ``A`` in *rhs_mask* simultaneously:
@@ -130,10 +184,9 @@ def _find_violations_grouped(relation: Relation, lhs_mask: int,
 
     columns = [relation.column(i) for i in range(len(relation.schema))]
     lhs_indices = tuple(iter_bits(lhs_mask))
-    rhs_indices = list(iter_bits(rhs_mask))
     representative: dict = {}
-    pending = set(rhs_indices)
-    witnesses: List[tuple] = []
+    pending = set(iter_bits(rhs_mask))
+    witnesses: Dict[int, Tuple[int, int]] = {}
     for i in range(len(relation)):
         key = tuple(columns[a][i] for a in lhs_indices)
         first = representative.setdefault(key, i)
@@ -141,6 +194,6 @@ def _find_violations_grouped(relation: Relation, lhs_mask: int,
             continue
         for attribute in list(pending):
             if columns[attribute][first] != columns[attribute][i]:
-                witnesses.append((first, i))
+                witnesses[attribute] = (first, i)
                 pending.discard(attribute)
     return witnesses

@@ -37,7 +37,12 @@ from repro.core.attributes import Schema
 from repro.core.relation import Relation
 from repro.errors import ReproError
 
-__all__ = ["SyntheticSpec", "generate_relation", "generate_columns"]
+__all__ = [
+    "SyntheticSpec",
+    "generate_relation",
+    "generate_columns",
+    "large_class_relation",
+]
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -131,3 +136,28 @@ def generate_relation(num_attributes: int, num_tuples: int,
     )
     schema = Schema.of_width(spec.num_attributes)
     return Relation.from_columns(schema, generate_columns(spec))
+
+
+def large_class_relation(num_rows: int, seed: int = 0) -> Relation:
+    """The couple-wall shape: a constant column (one class holding every
+    row), a binary column, two near-unique columns and a key.
+
+    Its couples grow with ``num_rows²`` while its agree sets stay a
+    handful — the shape the columnar backend's Plan 2 exists for
+    (``docs/columnar.md``, "Plans"); from 700 rows the default plan
+    choice picks it.
+
+    >>> r = large_class_relation(10)
+    >>> (len(r.schema), len(r), len(set(r.column(0))))
+    (5, 10, 1)
+    """
+    rng = random.Random(seed)
+    domain = 20 * num_rows
+    keys = list(range(num_rows))
+    rng.shuffle(keys)
+    rows = [
+        ("const", rng.randrange(2), rng.randrange(domain),
+         f"t{rng.randrange(domain)}", keys[row])
+        for row in range(num_rows)
+    ]
+    return Relation.from_rows(Schema(["A", "B", "C", "D", "E"]), rows)

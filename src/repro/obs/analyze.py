@@ -187,9 +187,25 @@ def summarize_trace(source: SpanSource,
         ),
         "total_seconds": total,
         "phases": dict(phases),
+        "plans": _plans(records),
         "hot_spans": hot[:10],
         "critical_path": critical_path(records),
     }
+
+
+#: The ``agree_sets`` span attributes that explain the chosen plan.
+_PLAN_ATTRS = ("plan", "plan_reason", "preflight_couples", "largest_class")
+
+
+def _plans(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The agree-set plan of every columnar run in the trace."""
+    return [
+        {key: record["attrs"][key] for key in _PLAN_ATTRS
+         if key in record["attrs"]}
+        for record in records
+        if record["name"] == "agree_sets"
+        and "plan" in record.get("attrs", {})
+    ]
 
 
 def render_summary(summary: Dict[str, Any],
@@ -213,6 +229,11 @@ def render_summary(summary: Dict[str, Any],
                 f"  {name:<14} {seconds * 1000:9.3f} ms "
                 f"({seconds / phase_total:6.1%})"
             )
+    for plan in summary.get("plans", ()):
+        lines.append(
+            f"plan: {plan['plan']} ({plan.get('plan_reason', '')}; "
+            f"largest class {plan.get('largest_class')})"
+        )
     path = summary["critical_path"]
     if path:
         lines.append("critical path:")

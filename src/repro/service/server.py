@@ -43,6 +43,7 @@ import dataclasses
 import logging
 import os
 import signal
+import socket
 import tempfile
 import threading
 import time
@@ -467,6 +468,28 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = f"{SERVICE_NAME}/{PROTOCOL_VERSION}"
+    # Headers and body go out in separate sends; with Nagle on, a small
+    # body waits for the client's delayed ACK (~40 ms per reply).
+    disable_nagle_algorithm = True
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.server.forget_connection(self)  # type: ignore[attr-defined]
+
+    def handle_one_request(self) -> None:
+        # Between requests a keep-alive connection is idle: a graceful
+        # shutdown may close it, and once one has begun no further
+        # request is read.
+        if not self.server.connection_idle(self):  # type: ignore[attr-defined]
+            self.close_connection = True
+            return
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        self.server.connection_busy(self)  # type: ignore[attr-defined]
+        return super().parse_request()
 
     # BaseHTTPRequestHandler logs to stderr by default; route through
     # the module logger so `repro serve -q` stays quiet.
@@ -541,6 +564,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.server.app.shutdown_requested.is_set():  # type: ignore[attr-defined]
+                # Draining: answer, then close instead of waiting for
+                # the next request on this connection.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
@@ -569,7 +596,10 @@ class ReproServiceServer(ThreadingHTTPServer):
     ``daemon_threads`` stays False (with ``block_on_close``) so a
     graceful shutdown — ``POST /shutdown`` or SIGTERM — drains every
     in-flight request before the process exits; no client ever sees a
-    connection die mid-mine.
+    connection die mid-mine.  Keep-alive connections idle between
+    requests are not in flight: :meth:`server_close` shuts their read
+    side, so their handler threads end instead of waiting for a request
+    that may never come.
     """
 
     daemon_threads = False
@@ -581,11 +611,43 @@ class ReproServiceServer(ThreadingHTTPServer):
         self.app = app if app is not None else ServiceApp(config)
         self.config = config
         self._shutdown_started = False
+        self._connections_lock = threading.Lock()
+        self._idle: Dict[_ServiceHandler, bool] = {}
+        self._closing = False
         super().__init__((config.host, config.port), _ServiceHandler)
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def forget_connection(self, handler: _ServiceHandler) -> None:
+        with self._connections_lock:
+            self._idle.pop(handler, None)
+
+    def connection_idle(self, handler: _ServiceHandler) -> bool:
+        """Mark *handler* as waiting for its next request; False once
+        the server is closing (the connection should end instead)."""
+        with self._connections_lock:
+            if self._closing:
+                return False
+            self._idle[handler] = True
+            return True
+
+    def connection_busy(self, handler: _ServiceHandler) -> None:
+        with self._connections_lock:
+            self._idle[handler] = False
+
+    def server_close(self) -> None:
+        """Close idle keep-alive connections, then stop and drain."""
+        with self._connections_lock:
+            self._closing = True
+            for handler, idle in self._idle.items():
+                if idle:
+                    try:
+                        handler.connection.shutdown(socket.SHUT_RD)
+                    except OSError:
+                        pass  # already gone
+        super().server_close()
 
 
 def serve(config: ServiceConfig) -> int:

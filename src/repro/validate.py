@@ -5,7 +5,10 @@ supposed to guarantee, directly against the relation:
 
 1. every reported FD holds, is non-trivial, and is lhs-minimal;
 2. the agree sets are exactly ``ag(r)`` (checked against the naive
-   all-pairs oracle — quadratic, so guarded by a size limit);
+   all-pairs oracle — quadratic, so guarded by a size limit); for a
+   Plan 2 result (``result.stats["plan"] == 2``, the columnar
+   sample-and-repair plan) they are a subset of ``ag(r)`` with the same
+   ``Max⊆`` family for every attribute;
 3. ``max(dep(r), A)`` is an antichain of agree sets avoiding ``A``,
    maximal among them;
 4. ``lhs(dep(r), A)`` are minimal transversals of the cmax hypergraph;
@@ -83,11 +86,26 @@ def validate_result(result: DepMinerResult, relation: Relation,
             if relation.satisfies(fd.lhs.remove(attribute), rhs):
                 report.fail(f"non-minimal lhs: {fd} (drop {attribute})")
 
-    # 2. Agree sets match the naive oracle.
+    # 2. Agree sets match the naive oracle (Plan 2: subset, same Max⊆).
     if deep and len(relation) <= _NAIVE_ORACLE_LIMIT:
         report.add("agree-sets-oracle")
         expected = naive_agree_sets(relation)
-        if result.agree_sets != expected:
+        if result.stats.get("plan") == 2:
+            extra = sorted(result.agree_sets - expected)
+            if extra:
+                report.fail(
+                    f"plan-2 agree sets are not a subset of the oracle "
+                    f"(extra={extra[:5]})"
+                )
+            for attribute in range(len(schema)):
+                bit = 1 << attribute
+                if _max_family(result.agree_sets, bit) != \
+                        _max_family(expected, bit):
+                    report.fail(
+                        f"plan-2 agree sets change the maximal family "
+                        f"of {schema.name_of(attribute)}"
+                    )
+        elif result.agree_sets != expected:
             missing = sorted(expected - result.agree_sets)
             extra = sorted(result.agree_sets - expected)
             report.fail(
@@ -98,9 +116,7 @@ def validate_result(result: DepMinerResult, relation: Relation,
     # 3. Maximal sets are maximal agree sets avoiding their attribute.
     report.add("max-sets-structure")
     for attribute, masks in result.max_sets.items():
-        bit = 1 << attribute
-        candidates = [m for m in result.agree_sets if not m & bit]
-        if sorted(masks) != maximize_sets(candidates):
+        if sorted(masks) != _max_family(result.agree_sets, 1 << attribute):
             report.fail(
                 f"max(dep(r), {schema.name_of(attribute)}) is not the "
                 f"maximal agree-set family"
@@ -156,3 +172,8 @@ def validate_result(result: DepMinerResult, relation: Relation,
                     f"exactly the mined FDs"
                 )
     return report
+
+
+def _max_family(agree, bit: int) -> List[int]:
+    """The maximal agree sets avoiding the attribute *bit*, sorted."""
+    return maximize_sets([mask for mask in agree if not mask & bit])

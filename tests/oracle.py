@@ -19,7 +19,14 @@ over the same corpus of relations.  This module owns the shared pieces:
 * :func:`backend_grid` / :func:`assert_backend_grid_agrees` — the
   backend ∈ {python, columnar} × jobs ∈ {1, 2} × cache on/off sweep.
   Cached cells run twice through the same store, so the warm-hit
-  replay path is conformance-checked too.
+  replay path is conformance-checked too;
+* :func:`force_plan` / :func:`assert_plans_agree` — the columnar
+  backend's two agree-set plans (full couples vs sample-and-repair),
+  forced through the selection constants of
+  :mod:`repro.columnar.plans`, must give the python oracle's cover,
+  maximal sets and Armstrong rows bit for bit, cold and replayed
+  (:func:`~repro.datagen.synthetic.large_class_relation`, re-exported
+  here, is the couple-wall shape Plan 2 exists for).
 
 ``tests/test_differential_miners.py`` drives the brute-force-oracle
 half; ``tests/test_backend_conformance.py`` drives the backend grid
@@ -38,13 +45,16 @@ from repro.columnar import numpy_available
 from repro.core.attributes import Schema
 from repro.core.depminer import DepMiner
 from repro.core.relation import Relation
-from repro.datagen.synthetic import generate_relation
+from repro.datagen.synthetic import generate_relation, large_class_relation
 from repro.datasets import (
     course_schedule_relation,
     paper_example_relation,
     supplier_parts_relation,
 )
 from repro.fd.bruteforce import bruteforce_minimal_fds
+
+#: Initial sample of a forced Plan 2: tiny, so repair rounds happen.
+FORCED_SAMPLE_ROWS = 2
 
 # (num_attributes, num_tuples, correlation) — kept narrow enough for the
 # brute-force oracle and small enough that the whole sweep stays fast.
@@ -243,3 +253,69 @@ def assert_backend_grid_agrees(relation, oracle=None, **grid_kwargs):
                 f"oracle cover"
             )
     return oracle
+
+
+# -- execution plans ---------------------------------------------------------
+
+def force_plan(patch, plan: int, sample_rows: int = FORCED_SAMPLE_ROWS):
+    """Make the columnar preflight choose *plan* for any relation of
+    more than *sample_rows* rows, by patching the selection constants
+    through *patch* (a ``pytest.MonkeyPatch``)."""
+    from repro.columnar import plans
+
+    if plan == 2:
+        patch.setattr(plans, "PLAN_COUPLE_FLOOR", -1)
+        patch.setattr(plans, "PLAN_COUPLES_PER_CELL", -1)
+        patch.setattr(plans, "PLAN_SAMPLE_ROWS", sample_rows)
+    else:
+        patch.setattr(plans, "PLAN_COUPLE_FLOOR", float("inf"))
+
+
+def plan_artifacts(result):
+    """What both plans must share: cover, max sets, Armstrong rows."""
+    return {
+        "cover": canonical_cover(result.fds),
+        "max_sets": {a: sorted(m) for a, m in result.max_sets.items()},
+        "armstrong": (None if result.armstrong is None
+                      else list(result.armstrong.rows())),
+        "classical": (None if result.classical_armstrong is None
+                      else list(result.classical_armstrong.rows())),
+    }
+
+
+def assert_plans_agree(relation, **options):
+    """Plan 1 ≡ Plan 2 ≡ the serial python backend, bit for bit.
+
+    Each plan runs cold and then replays from a warm cover cache (Plan
+    2 must not have stored its agree sets as ``ag(r)``); every run must
+    reproduce the oracle's cover, maximal sets and (real-world
+    and classical) Armstrong rows, and a forced Plan 2 must really have
+    run wherever the relation is larger than its initial sample.
+    Returns the cold Plan 2 result.
+    """
+    options.setdefault("build_armstrong", "real-world")
+    oracle = plan_artifacts(
+        DepMiner(backend="python", **options).run(relation)
+    )
+    results = {}
+    for plan in (1, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            force_plan(patch, plan)
+            store = ArtifactStore()
+            cold = DepMiner(backend="columnar", cache=store,
+                            **options).run(relation)
+            puts = store.stats["cache.put"]
+            warm = DepMiner(backend="columnar", cache=store,
+                            **options).run(relation)
+        expected = plan if len(relation) > FORCED_SAMPLE_ROWS else 1
+        # Plan 1 stores ag(r) and the cover; Plan 2 only the cover.
+        assert puts == (2 if expected == 1 else 1)
+        assert cold.stats["plan"] == expected
+        assert warm.stats["plan"] == expected
+        for label, result in (("cold", cold), ("warm", warm)):
+            assert plan_artifacts(result) == oracle, (
+                f"plan {plan} ({label}) diverged from the python oracle"
+            )
+        results[plan] = cold
+    assert results[2].agree_sets <= results[1].agree_sets
+    return results[2]

@@ -11,7 +11,10 @@ These pin down the semantic contracts the whole system rests on:
   antichain of genuine minimal transversals;
 - attribute closure is a closure operator (extensive, monotone,
   idempotent);
-- minimal covers are equivalent to their input.
+- minimal covers are equivalent to their input;
+- the columnar backend's two agree-set plans (full couples and
+  sample-and-repair) give the same cover, maximal sets and Armstrong
+  rows as the python backend.
 """
 
 from __future__ import annotations
@@ -193,6 +196,21 @@ def test_sampling_discovery_is_exact(relation):
     result = discover_with_sampling(relation, sample_size=3, seed=0)
     assert result.fds == bruteforce_minimal_fds(relation)
     assert result.sample_size <= len(relation) or len(relation) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(relations(max_rows=16), st.booleans())
+def test_both_columnar_plans_are_exact(relation, nulls_equal):
+    from repro.columnar import numpy_available
+    from tests.oracle import assert_plans_agree
+
+    if numpy_available():
+        # Value 0 stands for NULL, so both null semantics are exercised.
+        nulled = Relation.from_rows(relation.schema, [
+            tuple(None if value == 0 else value for value in row)
+            for row in relation.rows()
+        ])
+        assert_plans_agree(nulled, nulls_equal=nulls_equal)
 
 
 @settings(max_examples=40, deadline=None)

@@ -318,6 +318,130 @@ class TestShutdown:
             pytest.fail("server still answering after /shutdown")
 
 
+    def test_idle_keep_alive_client_does_not_stall_shutdown(self):
+        """The daemon process exits promptly after ``/shutdown`` even
+        while a keep-alive client holds an idle connection open."""
+        import http.client
+        import os
+        import re
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        source = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source, env.get("PYTHONPATH")])
+        )
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=env,
+        )
+        idle = None
+        try:
+            match = re.search(r"serving on http://[^:]+:(\d+)",
+                              daemon.stdout.readline())
+            assert match, "the daemon never announced its port"
+            port = int(match.group(1))
+            idle = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            idle.request("GET", "/health")
+            assert idle.getresponse().read()
+            # `idle` stays open: its handler now waits for a next request.
+            client = ServiceClient(f"http://127.0.0.1:{port}", timeout=10)
+            assert client.shutdown()["status"] == "shutting down"
+            try:
+                assert daemon.wait(timeout=2.0) == 0
+            except subprocess.TimeoutExpired:
+                pytest.fail("daemon still running 2 s after /shutdown "
+                            "with one idle keep-alive connection")
+        finally:
+            if idle is not None:
+                idle.close()
+            if daemon.poll() is None:
+                daemon.kill()
+            daemon.wait()
+            daemon.stdout.close()
+
+
+    def test_shutdown_under_concurrent_keep_alive_load(self):
+        """Many keep-alive clients hammer the daemon while it shuts down:
+        every reply that arrives is a complete 200, and every handler
+        thread ends (the idle-connection bookkeeping loses no one)."""
+        import http.client
+        import json
+        import sys
+
+        server = ReproServiceServer(ServiceConfig(port=0))
+        serving = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.02},
+            name="test-serve",
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        replies, bad = [], []
+
+        def hammer():
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=10
+            )
+            try:
+                while True:
+                    connection.request("GET", "/health")
+                    response = connection.getresponse()
+                    body = json.loads(response.read())
+                    if response.status != 200 or body["status"] != "ok":
+                        bad.append((response.status, body))
+                    replies.append(1)
+            except (OSError, http.client.HTTPException):
+                pass  # the daemon closed the connection or the socket
+            finally:
+                connection.close()
+
+        try:
+            serving.start()
+            clients = [threading.Thread(target=hammer, daemon=True)
+                       for _ in range(8)]
+            for client in clients:
+                client.start()
+            deadline = time.monotonic() + 10
+            while len(replies) < 200 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(replies) >= 200
+            ServiceClient(f"http://127.0.0.1:{server.port}",
+                          timeout=10).shutdown()
+            for client in clients:
+                client.join(timeout=10)
+                assert not client.is_alive()
+            serving.join(timeout=10)
+            assert not serving.is_alive()
+            server.server_close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not bad
+        assert not server._idle
+
+
+class TestLatency:
+    def test_small_keep_alive_replies_do_not_stall(self, service):
+        import http.client
+        import statistics
+
+        server, _ = service()
+        connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                timeout=10)
+        try:
+            timings = []
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("GET", "/health")
+                assert connection.getresponse().read()
+                timings.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        assert statistics.median(timings) < 0.020, timings
+
+
 class TestTelemetry:
     def test_per_request_manifests(self, service, tmp_path):
         from repro.obs.manifest import RunManifest, validate_manifest

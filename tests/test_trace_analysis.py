@@ -275,3 +275,23 @@ class TestCheckTraceScript:
         bad.write_text("\n".join(json.dumps(r) for r in records) + "\n")
         problems = check_trace.check_file(bad)
         assert any("ends after its parent" in p for p in problems)
+
+
+class TestPlanSummary:
+    def test_summary_names_the_chosen_plan(self, tmp_path, capsys):
+        from repro.columnar import numpy_available
+        from repro.storage.csv_io import relation_to_csv
+        from tests.oracle import large_class_relation
+
+        if not numpy_available():
+            pytest.skip("the plans belong to the columnar backend")
+        data = tmp_path / "wall.csv"
+        relation_to_csv(large_class_relation(700), data)
+        manifest = tmp_path / "run.json"
+        assert main(["discover", str(data), "--backend", "columnar",
+                     "--telemetry", str(manifest)]) == 0
+        capsys.readouterr()
+        assert main(["trace", "summary", str(manifest)]) == 0
+        out = capsys.readouterr().out
+        assert "plan: 2 (" in out
+        assert "largest class 700" in out

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.columnar import numpy_available
+from repro.core.agree_sets import naive_agree_sets
 from repro.core.attributes import AttributeSet
 from repro.core.depminer import DepMiner
 from repro.datagen.synthetic import generate_relation
 from repro.fd.fd import FD
 from repro.validate import validate_result
+from tests.oracle import force_plan, large_class_relation
 
 
 class TestKnownGoodResults:
@@ -95,3 +98,50 @@ class TestCorruptedResults:
         assert any(
             "values not in the input" in v for v in report.violations
         )
+
+
+@pytest.mark.skipif(not numpy_available(),
+                    reason="the plans belong to the columnar backend")
+class TestPlanAwareValidation:
+    """Check 2 accepts Plan 2's ``ag(s) ⊆ ag(r)`` with equal Max⊆."""
+
+    def test_large_class_plan2_result_validates(self):
+        relation = large_class_relation(700)
+        result = DepMiner(backend="columnar").run(relation)
+        assert result.stats["plan"] == 2
+        report = validate_result(result, relation)
+        assert "agree-sets-oracle" in report.checks_run
+        assert report.ok, report.render()
+
+    def _strict_subset_result(self, monkeypatch):
+        # A forced tiny sample converges without one non-maximal
+        # agree set of r.
+        relation = generate_relation(4, 60, correlation=0.7, seed=1)
+        force_plan(monkeypatch, 2, sample_rows=4)
+        result = DepMiner(backend="columnar").run(relation)
+        assert result.stats["plan"] == 2
+        assert result.agree_sets < naive_agree_sets(relation)
+        return relation, result
+
+    def test_strict_subset_validates_only_as_plan2(self, monkeypatch):
+        relation, result = self._strict_subset_result(monkeypatch)
+        assert validate_result(result, relation).ok
+        result.stats["plan"] = 1
+        report = validate_result(result, relation)
+        assert any("agree sets differ" in v for v in report.violations)
+
+    def test_detects_foreign_plan2_agree_set(self, monkeypatch):
+        relation, result = self._strict_subset_result(monkeypatch)
+        full = naive_agree_sets(relation)
+        result.agree_sets.add(min(
+            mask for mask in range(relation.schema.universe_mask + 1)
+            if mask not in full
+        ))
+        report = validate_result(result, relation)
+        assert any("not a subset" in v for v in report.violations)
+
+    def test_detects_lost_maximal_set(self, monkeypatch):
+        relation, result = self._strict_subset_result(monkeypatch)
+        result.agree_sets.discard(max(result.max_sets[0]))
+        report = validate_result(result, relation)
+        assert any("maximal family" in v for v in report.violations)
